@@ -1,6 +1,6 @@
 use crate::checkpoint::ElasticState;
 use crate::faults::{ClientFault, FaultInjector};
-use crate::hierarchy::{HierarchyState, ShardTree};
+use crate::hierarchy::{HierarchyConfig, HierarchyState, ShardTree};
 use crate::membership::MembershipRegistry;
 use crate::{CohortSpec, CoreError, DataSource, FederationConfig, LlmClient, Result, RoundRecord};
 use crossbeam::channel::unbounded;
@@ -604,7 +604,7 @@ impl Aggregator {
             // attempts are retransmitted (deterministically) up to the
             // budget, each paying the link's one-way latency.
             let link_seed = mix_link_seed(self.cfg.seed, self.round, client_id);
-            let (delivered, report) = photon_comms::deliver_chaos(
+            let (delivered, report) = photon_comms::deliver(
                 &frame,
                 corrupt_attempts,
                 lost_attempts,
@@ -739,267 +739,62 @@ impl Aggregator {
         self.finish_round(collected, cohort_idx, acct)
     }
 
-    /// The synchronous commit tail of a round, shared verbatim between the
-    /// in-process simulator ([`Aggregator::run_round_with`]) and the
-    /// multi-process TCP deployment ([`Aggregator::commit_external_round`]):
-    /// network telemetry, the degraded-quorum gate, guard screening, the
-    /// partial-results gate, the loss-spike watchdog, robust aggregation,
-    /// and the server-optimizer step. Keeping one tail means both backends
-    /// apply results with identical semantics — bit-identical in sim mode.
+    /// The synchronous commit tail of a round (Algorithm 1, L.7–9), shared
+    /// by the in-process simulator ([`Aggregator::run_round_with`]) and the
+    /// multi-process TCP deployment ([`Aggregator::commit_external_round`]),
+    /// so both backends apply results with identical semantics —
+    /// bit-identical in sim mode. A run with a shard tree continues in
+    /// [`Aggregator::finish_hierarchy_round`]; the flat path runs the shared
+    /// stages in order: network telemetry, the degraded-quorum gate,
+    /// admission and the guard screen, the partial-results gate, the flat
+    /// aggregate, and [`Aggregator::apply_commit`].
     fn finish_round(
         &mut self,
-        collected: Vec<(u32, Vec<f32>, f64, photon_comms::TrainMetrics, u64)>,
+        collected: Vec<Arrival>,
         cohort_idx: Vec<usize>,
         acct: RoundAccounting,
     ) -> Result<RoundRecord> {
+        let mut record = self.start_record(cohort_idx, &acct);
         if self.hierarchy.is_some() {
-            return self.finish_hierarchy_round(collected, cohort_idx, acct);
+            return self.finish_hierarchy_round(collected, record, &acct);
         }
         let received = collected.len();
-        if acct.net_losses + acct.net_duplicates + acct.net_reorders + acct.dup_drops > 0
-            || acct.unreachable > 0
-        {
-            self.telemetry.record_network(
-                acct.net_losses,
-                acct.net_duplicates,
-                acct.net_reorders,
-                acct.dup_drops,
-                acct.unreachable as u64,
-            );
+        self.record_network(&acct);
+        if self.degraded_gate(record.cohort.len(), received) {
+            self.record_faults(&acct);
+            return Ok(self.degraded_exit(record, &collected));
         }
 
-        // Graceful degradation: when an active partition (or mass loss)
-        // leaves the round below the reachability quorum, committing the
-        // minority slice would skew the model toward whoever stayed
-        // connected. The round records its telemetry but commits nothing;
-        // the deadline stays lifted until a round reaches quorum again, at
-        // which point the aggregator recovers automatically.
-        let mut degraded_round = false;
-        if let Some(net) = self.cfg.network {
-            let quorum = (((cohort_idx.len() as f64) * net.min_quorum_frac).ceil() as usize).max(1);
-            if received < quorum {
-                degraded_round = true;
-                self.degraded = true;
-                self.telemetry.record_degraded_round();
-                photon_trace::instant(
-                    photon_trace::Phase::DegradedRound,
-                    "degraded_round",
-                    &[
-                        ("round", self.round),
-                        ("received", received as u64),
-                        ("quorum", quorum as u64),
-                    ],
-                );
-            } else if self.degraded {
-                self.degraded = false;
-                self.telemetry.record_degraded_recovery();
-            }
-        }
-        if degraded_round {
-            self.telemetry.record_round_faults(
-                acct.crashes as u64,
-                acct.stragglers as u64,
-                acct.retransmits,
-                acct.link_dropouts as u64,
-            );
-            let mut losses = Vec::with_capacity(collected.len());
-            for (id, _, _, metrics, _) in &collected {
-                self.telemetry.record(*id, self.round, metrics);
-                losses.push(metrics.mean_loss);
-            }
-            let mean_client_loss = if losses.is_empty() {
-                0.0
-            } else {
-                losses.iter().sum::<f32>() / losses.len() as f32
-            };
-            let record = RoundRecord {
-                round: self.round,
-                cohort: cohort_idx,
-                dropouts: acct.crashes + acct.link_dropouts,
-                stragglers: acct.stragglers,
-                retransmits: acct.retransmits,
-                mean_client_loss,
-                pseudo_grad_norm: 0.0,
-                wire_bytes: acct.wire_bytes,
-                eval_ppl: None,
-                guard_rejected: 0,
-                guard_clipped: 0,
-                quarantined: 0,
-                neutralized: self.neutralized.contains(&self.round),
-                joined: acct.joined,
-                departed: acct.departed,
-                lease_expired: acct.lease_expired,
-                rejoined: acct.rejoined,
-                buffered: 0,
-                commit_deferred: false,
-                degraded: true,
-                unreachable: acct.unreachable,
-                effective_deadline_ms: acct.effective_deadline_ms,
-                shards: 0,
-                shard_degraded: 0,
-                shard_crashes: 0,
-                shard_hangs: 0,
-                reparented: 0,
-                peak_resident: 0,
-            };
-            self.round += 1;
-            return Ok(record);
-        }
-
-        // Construct updates; a malformed aggregation weight surfaces as a
-        // recoverable failure (guarded runs quarantine the sender instead
-        // of failing the round).
-        let mut survivor_ids = Vec::with_capacity(received);
-        let mut updates = Vec::with_capacity(received);
-        let mut survivor_metrics = Vec::with_capacity(received);
-        let mut guard_rejected = 0usize;
+        let mut admitted = Admitted::default();
         for (id, delta, weight, metrics, _) in collected {
-            match ClientUpdate::new(delta, weight) {
-                Ok(update) => {
-                    survivor_ids.push(id);
-                    updates.push(update);
-                    survivor_metrics.push(metrics);
-                }
-                Err(e) => {
-                    let Some(guard) = self.guard.as_mut() else {
-                        return Err(CoreError::ClientFailure(format!("client {id}: {e}")));
-                    };
-                    guard.quarantine(self.round, id);
-                    guard_rejected += 1;
-                    self.telemetry.record_guard(1, 0, 0, 0);
-                }
+            if let Some(update) = self.admit(id, delta, weight, &mut record)? {
+                admitted.push(id, update, metrics);
             }
         }
-
-        // Admission checks: quarantine skips, finiteness, norm clipping,
-        // cohort outlier rejection. Rejected updates (and their loss
-        // metrics — a poisoned loss must not steer the watchdog) are
-        // dropped before aggregation.
-        let mut guard_clipped = 0usize;
-        let mut quarantined = 0usize;
-        if let Some(guard) = self.guard.as_mut() {
-            let report = guard.screen_round(self.round, &survivor_ids, &mut updates);
-            self.telemetry.record_guard(
-                report.rejected_nonfinite,
-                report.rejected_outliers,
-                report.clipped,
-                report.quarantine_skips,
-            );
-            guard_rejected += (report.rejected_nonfinite + report.rejected_outliers) as usize;
-            guard_clipped = report.clipped as usize;
-            quarantined = report.quarantine_skips as usize;
-            let mut keep = report.decisions.iter().map(|d| d.admitted());
-            let mut keep2 = report.decisions.iter().map(|d| d.admitted());
-            let mut keep3 = report.decisions.iter().map(|d| d.admitted());
-            survivor_ids.retain(|_| keep.next().unwrap());
-            updates.retain(|_| keep2.next().unwrap());
-            survivor_metrics.retain(|_| keep3.next().unwrap());
-        }
-
-        let dropouts = acct.crashes + acct.link_dropouts;
-        // Guard rejections are deliberate exclusions, not transport
-        // failures: the partial-results gate only counts clients that never
-        // delivered a usable frame.
-        let missing = cohort_idx.len() - received;
-        if missing > 0 && (!self.cfg.allow_partial_results || received == 0) {
-            // §4: only the partial-update path may proceed with survivors.
-            return Err(CoreError::ClientFailure(format!(
-                "expected {} results, got {} (enable allow_partial_results \
-                 to aggregate survivors)",
-                cohort_idx.len(),
-                received
-            )));
-        }
-        if updates.is_empty() {
+        // Rejected updates — and their loss metrics: a poisoned loss must
+        // not steer the watchdog — are dropped before aggregation.
+        let admitted = self.screen(admitted, &mut record);
+        self.partial_gate(record.cohort.len(), received)?;
+        if admitted.updates.is_empty() {
             return Err(CoreError::ClientFailure(
                 "the guard rejected the entire cohort".into(),
             ));
         }
-        self.telemetry.record_round_faults(
-            acct.crashes as u64,
-            acct.stragglers as u64,
-            acct.retransmits,
-            acct.link_dropouts as u64,
-        );
-        let mut losses = Vec::with_capacity(updates.len());
-        for (id, metrics) in survivor_ids.iter().zip(&survivor_metrics) {
+        self.record_faults(&acct);
+        let mut losses = Vec::with_capacity(admitted.ids.len());
+        for (id, metrics) in admitted.ids.iter().zip(&admitted.meta) {
             self.telemetry.record(*id, self.round, metrics);
             losses.push(metrics.mean_loss);
         }
-
-        let neutralized = self.neutralized.contains(&self.round);
-        let avg_delta = self.cfg.aggregation.aggregate(&updates);
-        let pseudo_grad_norm = photon_tensor::ops::l2_norm(&avg_delta);
-        let mean_client_loss = losses.iter().sum::<f32>() / losses.len() as f32;
-
-        if !neutralized {
-            // Loss-spike watchdog, BEFORE the server optimizer touches the
-            // parameters: a divergent round leaves the model untouched and
-            // the recovery driver rolls back to the last-good checkpoint.
-            self.check_watchdog(mean_client_loss, pseudo_grad_norm)?;
-
-            // §6 client-contribution measurement: cosine alignment between
-            // each client's update and the aggregate.
-            if pseudo_grad_norm > 0.0 {
-                for (id, update) in survivor_ids.iter().zip(&updates) {
-                    let dot = photon_tensor::ops::dot(&update.delta, &avg_delta);
-                    let norm = update.norm();
-                    if norm > 0.0 {
-                        self.telemetry
-                            .record_alignment(*id, dot / (norm * pseudo_grad_norm));
-                    }
-                }
-            }
-            // L.9: apply the server optimization policy.
-            {
-                let _opt_span = photon_trace::span(photon_trace::Phase::ServerOpt)
-                    .arg("round", self.round)
-                    .arg("updates", updates.len() as u64);
-                self.server_opt
-                    .apply(&mut self.params, &avg_delta, self.round);
-            }
-            // The round's update stood: it is *committed*, not just seen.
-            self.telemetry.record_committed_round(self.round);
-            let blend = |ema: Option<f64>, v: f64| match ema {
-                Some(e) => WATCHDOG_EMA_BETA * e + (1.0 - WATCHDOG_EMA_BETA) * v,
-                None => v,
-            };
-            self.loss_ema = Some(blend(self.loss_ema, mean_client_loss as f64));
-            self.norm_ema = Some(blend(self.norm_ema, pseudo_grad_norm as f64));
-        }
-
-        let record = RoundRecord {
-            round: self.round,
-            cohort: cohort_idx,
-            dropouts,
-            stragglers: acct.stragglers,
-            retransmits: acct.retransmits,
-            mean_client_loss,
-            pseudo_grad_norm,
-            wire_bytes: acct.wire_bytes,
-            eval_ppl: None,
-            guard_rejected,
-            guard_clipped,
-            quarantined,
-            neutralized,
-            joined: acct.joined,
-            departed: acct.departed,
-            lease_expired: acct.lease_expired,
-            rejoined: acct.rejoined,
-            buffered: 0,
-            commit_deferred: false,
-            degraded: false,
-            unreachable: acct.unreachable,
-            effective_deadline_ms: acct.effective_deadline_ms,
-            shards: 0,
-            shard_degraded: 0,
-            shard_crashes: 0,
-            shard_hangs: 0,
-            reparented: 0,
-            peak_resident: 0,
-        };
-        self.round += 1;
-        Ok(record)
+        let avg_delta = self.cfg.aggregation.aggregate(&admitted.updates);
+        self.apply_commit(
+            &mut record,
+            &avg_delta,
+            mean_loss(&losses),
+            admitted.updates.len(),
+            Some((&admitted.ids, &admitted.updates)),
+        )?;
+        Ok(self.seal(record))
     }
 
     /// The hierarchical commit tail: the cohort is partitioned onto the
@@ -1008,7 +803,7 @@ impl Aggregator {
     /// slice through a streaming memory-bounded merge, and the shard
     /// aggregates reduce at the root through the same canonical fold —
     /// after the root guard screen and under the same degraded-quorum
-    /// gate, watchdog and server-optimizer step as the flat tail.
+    /// gate and [`Aggregator::apply_commit`] as the flat tail.
     ///
     /// Failure domains compose per level: a `shardcrash`/`shardhang`
     /// loses only that shard's slice this round (a crash additionally
@@ -1018,9 +813,9 @@ impl Aggregator {
     /// nothing — recorded as degraded, never a rollback.
     fn finish_hierarchy_round(
         &mut self,
-        collected: Vec<(u32, Vec<f32>, f64, photon_comms::TrainMetrics, u64)>,
-        cohort_idx: Vec<usize>,
-        acct: RoundAccounting,
+        collected: Vec<Arrival>,
+        mut record: RoundRecord,
+        acct: &RoundAccounting,
     ) -> Result<RoundRecord> {
         let tree = self
             .hierarchy
@@ -1028,30 +823,17 @@ impl Aggregator {
             .expect("hierarchy tail requires a shard tree");
         let hcfg = tree.config();
         let received = collected.len();
-        if acct.net_losses + acct.net_duplicates + acct.net_reorders + acct.dup_drops > 0
-            || acct.unreachable > 0
-        {
-            self.telemetry.record_network(
-                acct.net_losses,
-                acct.net_duplicates,
-                acct.net_reorders,
-                acct.dup_drops,
-                acct.unreachable as u64,
-            );
-        }
-        self.telemetry.record_round_faults(
-            acct.crashes as u64,
-            acct.stragglers as u64,
-            acct.retransmits,
-            acct.link_dropouts as u64,
-        );
+        self.record_network(acct);
+        self.record_faults(acct);
 
         // Route the assigned cohort (not just the arrivals) onto the live
         // tree: per-shard quorum denominators come from the slice a shard
         // was responsible for, so silent losses count against it.
-        let cohort_ids: Vec<u32> = cohort_idx.iter().map(|&i| i as u32).collect();
+        let cohort_ids: Vec<u32> = record.cohort.iter().map(|&i| i as u32).collect();
         let part = tree.partition(&cohort_ids);
         self.telemetry.record_reparented(part.reparented as u64);
+        record.shards = part.shards.len();
+        record.reparented = part.reparented;
         // This round's routing is already fixed; a crash takes effect on
         // the *next* partition, which every exit path below must see.
         if let Some(live_tree) = self.hierarchy.as_mut() {
@@ -1062,82 +844,28 @@ impl Aggregator {
 
         // The root-level degraded gate (network reachability quorum) is
         // unchanged by the tree: a partitioned round commits nothing.
-        let mut degraded_round = false;
-        if let Some(net) = self.cfg.network {
-            let quorum = (((cohort_idx.len() as f64) * net.min_quorum_frac).ceil() as usize).max(1);
-            if received < quorum {
-                degraded_round = true;
-                self.degraded = true;
-                self.telemetry.record_degraded_round();
-                photon_trace::instant(
-                    photon_trace::Phase::DegradedRound,
-                    "degraded_round",
-                    &[
-                        ("round", self.round),
-                        ("received", received as u64),
-                        ("quorum", quorum as u64),
-                    ],
-                );
-            } else if self.degraded {
-                self.degraded = false;
-                self.telemetry.record_degraded_recovery();
-            }
-        }
-        if degraded_round {
+        if self.degraded_gate(record.cohort.len(), received) {
             self.telemetry.record_shard_faults(
                 acct.shard_crashes.len() as u64,
                 acct.shard_hangs.len() as u64,
                 0,
             );
-            let mut losses = Vec::with_capacity(collected.len());
-            for (id, _, _, metrics, _) in &collected {
-                self.telemetry.record(*id, self.round, metrics);
-                losses.push(metrics.mean_loss);
-            }
-            let mean_client_loss = if losses.is_empty() {
-                0.0
-            } else {
-                losses.iter().sum::<f32>() / losses.len() as f32
-            };
-            let record = self.hierarchy_record(
-                cohort_idx,
-                &acct,
-                &part,
-                mean_client_loss,
-                0.0,
-                0,
-                0,
-                0,
-                0,
-                0,
-                true,
-            );
-            self.round += 1;
-            return Ok(record);
+            return Ok(self.degraded_exit(record, &collected));
         }
 
         // Group arrivals by the shard they report to; arrivals with no
         // live shard to report to are lost.
-        type ShardArrivals = Vec<(u32, Vec<f32>, f64, photon_comms::TrainMetrics)>;
-        let mut routed: std::collections::BTreeMap<u32, ShardArrivals> =
+        let mut routed: std::collections::BTreeMap<u32, Vec<Arrival>> =
             std::collections::BTreeMap::new();
-        for (id, delta, weight, metrics, _) in collected {
-            if let Some(s) = tree.shard_of(id) {
-                routed
-                    .entry(s)
-                    .or_default()
-                    .push((id, delta, weight, metrics));
+        for arrival in collected {
+            if let Some(s) = tree.shard_of(arrival.0) {
+                routed.entry(s).or_default().push(arrival);
             }
         }
 
         // Per-shard streaming merges, ascending shard id so the reduce
         // replays bit-identically.
-        let mut shard_ids: Vec<u32> = Vec::new();
-        let mut shard_updates: Vec<ClientUpdate> = Vec::new();
-        let mut shard_degraded = 0usize;
-        let mut peak_resident = 0usize;
-        let mut guard_rejected = 0usize;
-        let mut quarantined = 0usize;
+        let mut shards = Admitted::default();
         let mut losses: Vec<f32> = Vec::new();
         for (&shard, slice) in &part.shards {
             if slice.is_empty() {
@@ -1159,254 +887,144 @@ impl Aggregator {
                 continue;
             }
             let arrivals = routed.remove(&shard).unwrap_or_default();
-            let quorum = hcfg.shard_quorum(slice.len());
-            let mut merge_span = photon_trace::span(photon_trace::Phase::ShardMerge)
-                .arg("shard", shard as u64)
-                .arg("round", self.round)
-                .arg("slice", slice.len() as u64)
-                .arg("arrived", arrivals.len() as u64);
-            // Leaf admission mirrors the flat path's arrival checks:
-            // quarantined senders are skipped and a malformed weight
-            // quarantines (or fails the round when unguarded). Outlier
-            // screening runs at the root, over shard aggregates.
-            let mut admitted: Vec<(u32, ClientUpdate, photon_comms::TrainMetrics)> = Vec::new();
-            for (id, delta, weight, metrics) in arrivals {
-                if self
-                    .guard
-                    .as_ref()
-                    .is_some_and(|g| g.is_quarantined(id, self.round))
-                {
-                    quarantined += 1;
-                    self.telemetry.record_guard(0, 0, 0, 1);
-                    continue;
-                }
-                match ClientUpdate::new(delta, weight) {
-                    Ok(update) => admitted.push((id, update, metrics)),
-                    Err(e) => {
-                        let Some(guard) = self.guard.as_mut() else {
-                            return Err(CoreError::ClientFailure(format!("client {id}: {e}")));
-                        };
-                        guard.quarantine(self.round, id);
-                        guard_rejected += 1;
-                        self.telemetry.record_guard(1, 0, 0, 0);
-                    }
-                }
-            }
-            // Arrivals were processed in ascending client-id order, so the
-            // expected key set is already strictly ascending and each push
-            // folds at the frontier; out-of-order arrival permutations are
-            // covered by the streaming-merge property tests.
-            let expected: Vec<(u64, u32)> = admitted
-                .iter()
-                .map(|(id, _, _)| (self.round, *id))
-                .collect();
-            let mut merge = StreamingMerge::new(expected, hcfg.max_resident);
-            let mut member_meta: Vec<(u32, photon_comms::TrainMetrics)> =
-                Vec::with_capacity(admitted.len());
-            for (id, update, metrics) in admitted {
-                merge.push((self.round, id), update);
-                member_meta.push((id, metrics));
-            }
-            peak_resident = peak_resident.max(merge.peak_resident());
-            let folded = merge.folded();
-            merge_span.set_arg("folded", folded as u64);
-            merge_span.set_arg("peak_resident", merge.peak_resident() as u64);
-            let commit = if folded >= quorum && folded > 0 {
-                merge
-                    .finish()
-                    .and_then(|(merged, weight)| ClientUpdate::new(merged, weight).ok())
-            } else {
-                None
-            };
-            match commit {
-                Some(update) => {
-                    shard_ids.push(SHARD_GUARD_BASE + shard);
-                    shard_updates.push(update);
-                    for (id, metrics) in member_meta {
-                        self.telemetry.record(id, self.round, &metrics);
-                        losses.push(metrics.mean_loss);
-                    }
-                }
-                None => {
-                    // Quorum miss (or a degenerate fold): the slice is
-                    // dropped without affecting the siblings.
-                    shard_degraded += 1;
-                    photon_trace::instant(
-                        photon_trace::Phase::ShardDegraded,
-                        "shard_degraded",
-                        &[
-                            ("shard", shard as u64),
-                            ("round", self.round),
-                            ("crash", 0),
-                            ("slice", slice.len() as u64),
-                        ],
-                    );
-                }
+            let merged = self.merge_shard(
+                shard,
+                slice.len(),
+                arrivals,
+                &hcfg,
+                &mut record,
+                &mut losses,
+            )?;
+            if let Some(update) = merged {
+                shards.push(SHARD_GUARD_BASE + shard, update, ());
             }
         }
         self.telemetry.record_shard_faults(
             acct.shard_crashes.len() as u64,
             acct.shard_hangs.len() as u64,
-            shard_degraded as u64,
+            record.shard_degraded as u64,
         );
 
-        let mean_client_loss = if losses.is_empty() {
-            0.0
-        } else {
-            losses.iter().sum::<f32>() / losses.len() as f32
-        };
-        if shard_updates.is_empty() {
+        let mean_client_loss = mean_loss(&losses);
+        if shards.updates.is_empty() {
             // Every slice was lost (crashes, hangs, quorum misses, or all
             // shards dead). Committing nothing and carrying on is the
             // whole point of the tree: no rollback, no error.
-            let record = self.hierarchy_record(
-                cohort_idx,
-                &acct,
-                &part,
-                mean_client_loss,
-                0.0,
-                guard_rejected,
-                0,
-                quarantined,
-                shard_degraded,
-                peak_resident,
-                true,
-            );
-            self.round += 1;
-            return Ok(record);
+            record.mean_client_loss = mean_client_loss;
+            record.degraded = true;
+            return Ok(self.seal(record));
         }
 
         // The transport-level partial gate is unchanged: shard-level
         // drops are deliberate exclusions, not missing deliveries.
-        let missing = cohort_idx.len() - received;
-        if missing > 0 && (!self.cfg.allow_partial_results || received == 0) {
-            return Err(CoreError::ClientFailure(format!(
-                "expected {} results, got {} (enable allow_partial_results \
-                 to aggregate survivors)",
-                cohort_idx.len(),
-                received
-            )));
-        }
-
-        // The guard's full screen (finiteness, norm clipping, outlier
-        // rejection) runs at the root over the shard aggregates, under
-        // pseudo-ids so a repeatedly-poisoned shard earns quarantine.
-        let mut guard_clipped = 0usize;
-        if let Some(guard) = self.guard.as_mut() {
-            let report = guard.screen_round(self.round, &shard_ids, &mut shard_updates);
-            self.telemetry.record_guard(
-                report.rejected_nonfinite,
-                report.rejected_outliers,
-                report.clipped,
-                report.quarantine_skips,
-            );
-            guard_rejected += (report.rejected_nonfinite + report.rejected_outliers) as usize;
-            guard_clipped = report.clipped as usize;
-            quarantined += report.quarantine_skips as usize;
-            let mut keep = report.decisions.iter().map(|d| d.admitted());
-            let mut keep2 = report.decisions.iter().map(|d| d.admitted());
-            shard_ids.retain(|_| keep.next().unwrap());
-            shard_updates.retain(|_| keep2.next().unwrap());
-        }
-        if shard_updates.is_empty() {
+        self.partial_gate(record.cohort.len(), received)?;
+        // The guard's full screen runs at the root over the shard
+        // aggregates, under pseudo-ids so a repeatedly-poisoned shard
+        // earns quarantine.
+        let shards = self.screen(shards, &mut record);
+        if shards.updates.is_empty() {
             return Err(CoreError::ClientFailure(
                 "the guard rejected every shard aggregate".into(),
             ));
         }
 
-        let neutralized = self.neutralized.contains(&self.round);
         // The root reduce: for the weighted mean the canonical fold makes
         // the whole tree a pure re-bracketing of one summation order;
         // robust rules aggregate the shard pseudo-updates directly.
         let avg_delta = match self.cfg.aggregation {
-            AggregationKind::Mean => canonical_fold(&shard_updates)
+            AggregationKind::Mean => canonical_fold(&shards.updates)
                 .map(|(delta, _)| delta)
                 .expect("root reduce over a non-empty shard set"),
-            _ => self.cfg.aggregation.aggregate(&shard_updates),
+            _ => self.cfg.aggregation.aggregate(&shards.updates),
         };
-        let pseudo_grad_norm = photon_tensor::ops::l2_norm(&avg_delta);
-        if !neutralized {
-            self.check_watchdog(mean_client_loss, pseudo_grad_norm)?;
-            {
-                let _opt_span = photon_trace::span(photon_trace::Phase::ServerOpt)
-                    .arg("round", self.round)
-                    .arg("updates", shard_updates.len() as u64);
-                self.server_opt
-                    .apply(&mut self.params, &avg_delta, self.round);
-            }
-            self.telemetry.record_committed_round(self.round);
-            let blend = |ema: Option<f64>, v: f64| match ema {
-                Some(e) => WATCHDOG_EMA_BETA * e + (1.0 - WATCHDOG_EMA_BETA) * v,
-                None => v,
-            };
-            self.loss_ema = Some(blend(self.loss_ema, mean_client_loss as f64));
-            self.norm_ema = Some(blend(self.norm_ema, pseudo_grad_norm as f64));
-        }
-
-        let record = self.hierarchy_record(
-            cohort_idx,
-            &acct,
-            &part,
+        self.apply_commit(
+            &mut record,
+            &avg_delta,
             mean_client_loss,
-            pseudo_grad_norm,
-            guard_rejected,
-            guard_clipped,
-            quarantined,
-            shard_degraded,
-            peak_resident,
-            false,
-        );
-        self.round += 1;
-        Ok(record)
+            shards.updates.len(),
+            None,
+        )?;
+        Ok(self.seal(record))
     }
 
-    /// Assembles the [`RoundRecord`] of a hierarchical round; shared by
-    /// the committed, all-slices-lost and degraded exits.
-    #[allow(clippy::too_many_arguments)]
-    fn hierarchy_record(
-        &self,
-        cohort_idx: Vec<usize>,
-        acct: &RoundAccounting,
-        part: &crate::hierarchy::ShardPartition,
-        mean_client_loss: f32,
-        pseudo_grad_norm: f32,
-        guard_rejected: usize,
-        guard_clipped: usize,
-        quarantined: usize,
-        shard_degraded: usize,
-        peak_resident: usize,
-        degraded: bool,
-    ) -> RoundRecord {
-        RoundRecord {
-            round: self.round,
-            cohort: cohort_idx,
-            dropouts: acct.crashes + acct.link_dropouts,
-            stragglers: acct.stragglers,
-            retransmits: acct.retransmits,
-            mean_client_loss,
-            pseudo_grad_norm,
-            wire_bytes: acct.wire_bytes,
-            eval_ppl: None,
-            guard_rejected,
-            guard_clipped,
-            quarantined,
-            neutralized: self.neutralized.contains(&self.round),
-            joined: acct.joined,
-            departed: acct.departed,
-            lease_expired: acct.lease_expired,
-            rejoined: acct.rejoined,
-            buffered: 0,
-            commit_deferred: false,
-            degraded,
-            unreachable: acct.unreachable,
-            effective_deadline_ms: acct.effective_deadline_ms,
-            shards: part.shards.len(),
-            shard_degraded,
-            shard_crashes: acct.shard_crashes.len(),
-            shard_hangs: acct.shard_hangs.len(),
-            reparented: part.reparented,
-            peak_resident,
+    /// One sub-aggregator's leaf stage. Admission mirrors the flat path's
+    /// arrival checks: quarantined senders are skipped and a malformed
+    /// weight quarantines (or fails the round when unguarded); outlier
+    /// screening runs at the root, over shard aggregates. The admitted
+    /// slice folds through a memory-bounded streaming merge, and the
+    /// shard's pseudo-update comes back only if it met the shard quorum —
+    /// a miss (or a degenerate fold) drops the slice without affecting
+    /// the siblings. Members of a merged shard feed `losses`.
+    fn merge_shard(
+        &mut self,
+        shard: u32,
+        slice: usize,
+        arrivals: Vec<Arrival>,
+        hcfg: &HierarchyConfig,
+        record: &mut RoundRecord,
+        losses: &mut Vec<f32>,
+    ) -> Result<Option<ClientUpdate>> {
+        let quorum = hcfg.shard_quorum(slice);
+        let mut merge_span = photon_trace::span(photon_trace::Phase::ShardMerge)
+            .arg("shard", shard as u64)
+            .arg("round", self.round)
+            .arg("slice", slice as u64)
+            .arg("arrived", arrivals.len() as u64);
+        let mut admitted = Admitted::default();
+        for (id, delta, weight, metrics, _) in arrivals {
+            if self
+                .guard
+                .as_ref()
+                .is_some_and(|g| g.is_quarantined(id, self.round))
+            {
+                record.quarantined += 1;
+                self.telemetry.record_guard(0, 0, 0, 1);
+                continue;
+            }
+            if let Some(update) = self.admit(id, delta, weight, record)? {
+                admitted.push(id, update, metrics);
+            }
         }
+        // Arrivals were processed in ascending client-id order, so the
+        // expected key set is already strictly ascending and each push
+        // folds at the frontier; out-of-order arrival permutations are
+        // covered by the streaming-merge property tests.
+        let Admitted { ids, updates, meta } = admitted;
+        let expected = ids.iter().map(|&id| (self.round, id)).collect();
+        let mut merge = StreamingMerge::new(expected, hcfg.max_resident);
+        for (&id, update) in ids.iter().zip(updates) {
+            merge.push((self.round, id), update);
+        }
+        record.peak_resident = record.peak_resident.max(merge.peak_resident());
+        let folded = merge.folded();
+        merge_span.set_arg("folded", folded as u64);
+        merge_span.set_arg("peak_resident", merge.peak_resident() as u64);
+        let commit = if folded >= quorum && folded > 0 {
+            merge
+                .finish()
+                .and_then(|(merged, weight)| ClientUpdate::new(merged, weight).ok())
+        } else {
+            None
+        };
+        if commit.is_some() {
+            for (id, metrics) in ids.iter().zip(&meta) {
+                self.telemetry.record(*id, self.round, metrics);
+                losses.push(metrics.mean_loss);
+            }
+        } else {
+            record.shard_degraded += 1;
+            photon_trace::instant(
+                photon_trace::Phase::ShardDegraded,
+                "shard_degraded",
+                &[
+                    ("shard", shard as u64),
+                    ("round", self.round),
+                    ("crash", 0),
+                    ("slice", slice as u64),
+                ],
+            );
+        }
+        Ok(commit)
     }
 
     /// Commits one federated round from results gathered by an external
@@ -1436,7 +1054,7 @@ impl Aggregator {
     ) -> Result<RoundRecord> {
         let round = self.round;
         let mut round_span = photon_trace::span(photon_trace::Phase::Round).arg("round", round);
-        let mut collected: Vec<(u32, Vec<f32>, f64, photon_comms::TrainMetrics, u64)> = results
+        let mut collected: Vec<Arrival> = results
             .into_iter()
             .filter(|(id, _, _, _)| cohort_ids.contains(id))
             .map(|(id, delta, weight, metrics)| (id, delta, weight, metrics, round))
@@ -1453,25 +1071,12 @@ impl Aggregator {
         photon_trace::observe("round.wire_bytes", wire_bytes);
         photon_trace::counter_add("rounds.total", 1);
         let acct = RoundAccounting {
-            crashes: 0,
-            stragglers: 0,
             // A cohort member that never delivered a usable result is a
             // transport dropout from the aggregator's point of view.
             link_dropouts: cohort_ids.len().saturating_sub(received),
-            retransmits: 0,
             wire_bytes,
-            joined: 0,
-            departed: 0,
-            lease_expired: 0,
-            rejoined: 0,
-            unreachable: 0,
-            effective_deadline_ms: None,
-            net_losses: 0,
-            net_duplicates: 0,
-            net_reorders: 0,
             dup_drops,
-            shard_crashes: Vec::new(),
-            shard_hangs: Vec::new(),
+            ..RoundAccounting::default()
         };
         let cohort_idx = cohort_ids.iter().map(|&id| id as usize).collect();
         self.finish_round(collected, cohort_idx, acct)
@@ -1482,26 +1087,24 @@ impl Aggregator {
     /// when the pending set reaches the quorum — or when a pending update
     /// has waited longer than one lease duration, the deadline path that
     /// keeps sub-quorum runs making progress. Committed updates are
-    /// staleness-discounted, guard-screened, and applied exactly like a
-    /// synchronous merge.
+    /// staleness-discounted, guard-screened, and applied through the same
+    /// [`Aggregator::apply_commit`] as a synchronous merge.
     fn finish_buffered_round(
         &mut self,
-        collected: Vec<(u32, Vec<f32>, f64, photon_comms::TrainMetrics, u64)>,
+        collected: Vec<Arrival>,
         cohort_idx: Vec<usize>,
-        acct: RoundAccounting,
+        mut acct: RoundAccounting,
     ) -> Result<RoundRecord> {
         let bcfg = self
             .cfg
             .buffer
             .expect("buffered mode implies buffer config");
         let mcfg = self.cfg.membership.expect("buffering requires membership");
+        let mut record = self.start_record(cohort_idx, &acct);
         // Hierarchy mode: every arrival passes through its sub-aggregator
         // shard on the way to the buffer, so shard faults drop the slice
         // at arrival time and orphans of dead shards are fostered.
         let tree = self.hierarchy.clone();
-        let mut reparented = 0usize;
-        let mut guard_rejected = 0usize;
-        let mut dup_drops = acct.dup_drops;
         let mut arrival_losses = Vec::new();
         for (id, delta, weight, metrics, arrival_round) in collected {
             if let Some(tree) = &tree {
@@ -1513,7 +1116,7 @@ impl Aggregator {
                     }
                     Some(s) => {
                         if s != tree.home_shard(id) {
-                            reparented += 1;
+                            record.reparented += 1;
                         }
                     }
                     None => continue,
@@ -1521,17 +1124,9 @@ impl Aggregator {
             }
             // Weight validity is enforced at arrival (mirroring the
             // synchronous path) so a later commit cannot fail on it.
-            if !(weight.is_finite() && weight > 0.0) {
-                let Some(guard) = self.guard.as_mut() else {
-                    return Err(CoreError::ClientFailure(format!(
-                        "client {id}: aggregation weight {weight} must be positive and finite"
-                    )));
-                };
-                guard.quarantine(self.round, id);
-                guard_rejected += 1;
-                self.telemetry.record_guard(1, 0, 0, 0);
+            let Some(update) = self.admit(id, delta, weight, &mut record)? else {
                 continue;
-            }
+            };
             let accepted = self
                 .buffer
                 .as_mut()
@@ -1540,9 +1135,9 @@ impl Aggregator {
                     client_id: id,
                     origin_round: self.round,
                     arrival_round,
-                    base_weight: weight,
+                    base_weight: update.weight,
                     mean_loss: metrics.mean_loss,
-                    delta,
+                    delta: update.delta,
                 });
             if accepted {
                 self.telemetry.record(id, self.round, &metrics);
@@ -1550,39 +1145,25 @@ impl Aggregator {
             } else {
                 // A duplicating link re-delivered an already-buffered
                 // client round; the copy is discarded.
-                dup_drops += 1;
+                acct.dup_drops += 1;
             }
         }
-        if acct.net_losses + acct.net_duplicates + acct.net_reorders + dup_drops > 0
-            || acct.unreachable > 0
-        {
-            self.telemetry.record_network(
-                acct.net_losses,
-                acct.net_duplicates,
-                acct.net_reorders,
-                dup_drops,
-                acct.unreachable as u64,
-            );
-        }
-        self.telemetry.record_round_faults(
-            acct.crashes as u64,
-            acct.stragglers as u64,
-            acct.retransmits,
-            acct.link_dropouts as u64,
-        );
-        if tree.is_some() {
+        self.record_network(&acct);
+        self.record_faults(&acct);
+        if let Some(tree) = &tree {
             self.telemetry.record_shard_faults(
                 acct.shard_crashes.len() as u64,
                 acct.shard_hangs.len() as u64,
                 0,
             );
-            self.telemetry.record_reparented(reparented as u64);
+            self.telemetry.record_reparented(record.reparented as u64);
             // A crash takes effect from the next round's routing on.
             if let Some(live_tree) = self.hierarchy.as_mut() {
                 for &s in &acct.shard_crashes {
                     live_tree.mark_crashed(s);
                 }
             }
+            record.shards = tree.live_count();
         }
 
         let buffer = self.buffer.as_mut().expect("buffered mode has a buffer");
@@ -1591,20 +1172,9 @@ impl Aggregator {
                 && e.staleness_at(self.round).saturating_mul(mcfg.round_ms) >= mcfg.lease_ms
         });
         let commit_ready = buffer.quorum_reached(self.round, bcfg.quorum) || overdue;
+        record.mean_client_loss = mean_loss(&arrival_losses);
 
-        let neutralized = self.neutralized.contains(&self.round);
-        let mut guard_clipped = 0usize;
-        let mut quarantined = 0usize;
-        let mut mean_client_loss = if arrival_losses.is_empty() {
-            0.0
-        } else {
-            arrival_losses.iter().sum::<f32>() / arrival_losses.len() as f32
-        };
-        let mut pseudo_grad_norm = 0.0f32;
-        let mut peak_resident = 0usize;
-        let committed;
-
-        if let Some(tree) = &tree {
+        let committed = if let Some(tree) = &tree {
             // Streaming commit: the pending set folds through a
             // memory-bounded merge in canonical order instead of
             // materializing a sorted batch — bitwise the same aggregate.
@@ -1620,165 +1190,278 @@ impl Aggregator {
             } else {
                 None
             };
-            committed = commit.is_some();
+            let committed = commit.is_some();
             if let Some(commit) = commit {
-                peak_resident = commit.peak_resident;
+                record.peak_resident = commit.peak_resident;
                 self.telemetry.record_commit(commit.stale as u64);
-                pseudo_grad_norm = photon_tensor::ops::l2_norm(&commit.merged);
-                mean_client_loss = commit.losses.iter().sum::<f32>() / commit.losses.len() as f32;
-                if !neutralized {
-                    self.check_watchdog(mean_client_loss, pseudo_grad_norm)?;
-                    {
-                        let _opt_span = photon_trace::span(photon_trace::Phase::ServerOpt)
-                            .arg("round", self.round)
-                            .arg("updates", commit.client_ids.len() as u64);
-                        self.server_opt
-                            .apply(&mut self.params, &commit.merged, self.round);
-                    }
-                    self.telemetry.record_committed_round(self.round);
-                    let blend = |ema: Option<f64>, v: f64| match ema {
-                        Some(e) => WATCHDOG_EMA_BETA * e + (1.0 - WATCHDOG_EMA_BETA) * v,
-                        None => v,
-                    };
-                    self.loss_ema = Some(blend(self.loss_ema, mean_client_loss as f64));
-                    self.norm_ema = Some(blend(self.norm_ema, pseudo_grad_norm as f64));
-                }
+                self.apply_commit(
+                    &mut record,
+                    &commit.merged,
+                    mean_loss(&commit.losses),
+                    commit.client_ids.len(),
+                    None,
+                )?;
             }
-            let buffered = self.buffer.as_ref().map_or(0, |b| b.len());
-            let record = RoundRecord {
-                round: self.round,
-                cohort: cohort_idx,
-                dropouts: acct.crashes + acct.link_dropouts,
-                stragglers: acct.stragglers,
-                retransmits: acct.retransmits,
-                mean_client_loss,
-                pseudo_grad_norm,
-                wire_bytes: acct.wire_bytes,
-                eval_ppl: None,
-                guard_rejected,
-                guard_clipped,
-                quarantined,
-                neutralized,
-                joined: acct.joined,
-                departed: acct.departed,
-                lease_expired: acct.lease_expired,
-                rejoined: acct.rejoined,
-                buffered,
-                commit_deferred: !committed,
-                degraded: false,
-                unreachable: acct.unreachable,
-                effective_deadline_ms: acct.effective_deadline_ms,
-                shards: tree.live_count(),
-                shard_degraded: 0,
-                shard_crashes: acct.shard_crashes.len(),
-                shard_hangs: acct.shard_hangs.len(),
-                reparented,
-                peak_resident,
-            };
-            self.round += 1;
-            return Ok(record);
-        }
-
-        let batch = if commit_ready {
-            buffer.commit(self.round, bcfg.staleness_decay)
+            committed
         } else {
-            None
-        };
-        committed = batch.is_some();
-        if let Some(batch) = batch {
-            let mut survivor_ids = batch.client_ids;
-            let mut updates = batch.updates;
-            let mut losses = batch.losses;
-            if let Some(guard) = self.guard.as_mut() {
-                let report = guard.screen_round(self.round, &survivor_ids, &mut updates);
-                self.telemetry.record_guard(
-                    report.rejected_nonfinite,
-                    report.rejected_outliers,
-                    report.clipped,
-                    report.quarantine_skips,
-                );
-                guard_rejected += (report.rejected_nonfinite + report.rejected_outliers) as usize;
-                guard_clipped = report.clipped as usize;
-                quarantined = report.quarantine_skips as usize;
-                let mut keep = report.decisions.iter().map(|d| d.admitted());
-                let mut keep2 = report.decisions.iter().map(|d| d.admitted());
-                let mut keep3 = report.decisions.iter().map(|d| d.admitted());
-                survivor_ids.retain(|_| keep.next().unwrap());
-                updates.retain(|_| keep2.next().unwrap());
-                losses.retain(|_| keep3.next().unwrap());
-            }
-            if updates.is_empty() {
-                return Err(CoreError::ClientFailure(
-                    "the guard rejected the entire buffered commit".into(),
-                ));
-            }
-            self.telemetry.record_commit(batch.stale as u64);
-            let avg_delta = self.cfg.aggregation.aggregate(&updates);
-            pseudo_grad_norm = photon_tensor::ops::l2_norm(&avg_delta);
-            mean_client_loss = losses.iter().sum::<f32>() / losses.len() as f32;
-            if !neutralized {
-                self.check_watchdog(mean_client_loss, pseudo_grad_norm)?;
-                if pseudo_grad_norm > 0.0 {
-                    for (id, update) in survivor_ids.iter().zip(&updates) {
-                        let dot = photon_tensor::ops::dot(&update.delta, &avg_delta);
-                        let norm = update.norm();
-                        if norm > 0.0 {
-                            self.telemetry
-                                .record_alignment(*id, dot / (norm * pseudo_grad_norm));
-                        }
-                    }
-                }
-                {
-                    let _opt_span = photon_trace::span(photon_trace::Phase::ServerOpt)
-                        .arg("round", self.round)
-                        .arg("updates", updates.len() as u64);
-                    self.server_opt
-                        .apply(&mut self.params, &avg_delta, self.round);
-                }
-                // A buffered commit that stood counts as a committed round.
-                self.telemetry.record_committed_round(self.round);
-                let blend = |ema: Option<f64>, v: f64| match ema {
-                    Some(e) => WATCHDOG_EMA_BETA * e + (1.0 - WATCHDOG_EMA_BETA) * v,
-                    None => v,
+            let batch = if commit_ready {
+                buffer.commit(self.round, bcfg.staleness_decay)
+            } else {
+                None
+            };
+            let committed = batch.is_some();
+            if let Some(batch) = batch {
+                let pending = Admitted {
+                    ids: batch.client_ids,
+                    updates: batch.updates,
+                    meta: batch.losses,
                 };
-                self.loss_ema = Some(blend(self.loss_ema, mean_client_loss as f64));
-                self.norm_ema = Some(blend(self.norm_ema, pseudo_grad_norm as f64));
+                let admitted = self.screen(pending, &mut record);
+                if admitted.updates.is_empty() {
+                    return Err(CoreError::ClientFailure(
+                        "the guard rejected the entire buffered commit".into(),
+                    ));
+                }
+                self.telemetry.record_commit(batch.stale as u64);
+                let avg_delta = self.cfg.aggregation.aggregate(&admitted.updates);
+                self.apply_commit(
+                    &mut record,
+                    &avg_delta,
+                    mean_loss(&admitted.meta),
+                    admitted.updates.len(),
+                    Some((&admitted.ids, &admitted.updates)),
+                )?;
             }
-        }
+            committed
+        };
 
-        let buffered = self.buffer.as_ref().map_or(0, |b| b.len());
-        let record = RoundRecord {
+        record.buffered = self.buffer.as_ref().map_or(0, |b| b.len());
+        record.commit_deferred = !committed;
+        Ok(self.seal(record))
+    }
+
+    /// Starts a round's record from its transport, churn and network
+    /// accounting; the commit stages fill in the rest.
+    fn start_record(&self, cohort: Vec<usize>, acct: &RoundAccounting) -> RoundRecord {
+        RoundRecord {
             round: self.round,
-            cohort: cohort_idx,
+            cohort,
             dropouts: acct.crashes + acct.link_dropouts,
             stragglers: acct.stragglers,
             retransmits: acct.retransmits,
-            mean_client_loss,
-            pseudo_grad_norm,
             wire_bytes: acct.wire_bytes,
-            eval_ppl: None,
-            guard_rejected,
-            guard_clipped,
-            quarantined,
-            neutralized,
+            neutralized: self.neutralized.contains(&self.round),
             joined: acct.joined,
             departed: acct.departed,
             lease_expired: acct.lease_expired,
             rejoined: acct.rejoined,
-            buffered,
-            commit_deferred: !committed,
-            degraded: false,
             unreachable: acct.unreachable,
             effective_deadline_ms: acct.effective_deadline_ms,
-            shards: 0,
-            shard_degraded: 0,
-            shard_crashes: 0,
-            shard_hangs: 0,
-            reparented: 0,
-            peak_resident: 0,
-        };
+            shard_crashes: acct.shard_crashes.len(),
+            shard_hangs: acct.shard_hangs.len(),
+            ..RoundRecord::default()
+        }
+    }
+
+    /// Closes a round: advances the round counter and hands back its
+    /// record.
+    fn seal(&mut self, record: RoundRecord) -> RoundRecord {
         self.round += 1;
-        Ok(record)
+        record
+    }
+
+    /// Folds one round's network chaos into telemetry: lost and duplicate
+    /// transmissions, reorders, dedup discards and partition drops.
+    fn record_network(&self, acct: &RoundAccounting) {
+        self.telemetry.record_network(
+            acct.net_losses,
+            acct.net_duplicates,
+            acct.net_reorders,
+            acct.dup_drops,
+            acct.unreachable as u64,
+        );
+    }
+
+    /// Folds one round's client faults into telemetry.
+    fn record_faults(&self, acct: &RoundAccounting) {
+        self.telemetry.record_round_faults(
+            acct.crashes as u64,
+            acct.stragglers as u64,
+            acct.retransmits,
+            acct.link_dropouts as u64,
+        );
+    }
+
+    /// Graceful degradation: when an active partition (or mass loss)
+    /// leaves the round below the reachability quorum, committing the
+    /// minority slice would skew the model toward whoever stayed
+    /// connected, so the round runs degraded (returns `true`). The
+    /// deadline stays lifted until a round reaches quorum again, at which
+    /// point the aggregator recovers automatically.
+    fn degraded_gate(&mut self, cohort: usize, received: usize) -> bool {
+        let Some(net) = self.cfg.network else {
+            return false;
+        };
+        let quorum = (((cohort as f64) * net.min_quorum_frac).ceil() as usize).max(1);
+        if received < quorum {
+            self.degraded = true;
+            self.telemetry.record_degraded_round();
+            photon_trace::instant(
+                photon_trace::Phase::DegradedRound,
+                "degraded_round",
+                &[
+                    ("round", self.round),
+                    ("received", received as u64),
+                    ("quorum", quorum as u64),
+                ],
+            );
+            return true;
+        }
+        if self.degraded {
+            self.degraded = false;
+            self.telemetry.record_degraded_recovery();
+        }
+        false
+    }
+
+    /// The exit of a degraded round: it records its arrivals' telemetry
+    /// and mean loss but commits nothing.
+    fn degraded_exit(&mut self, mut record: RoundRecord, collected: &[Arrival]) -> RoundRecord {
+        let mut losses = Vec::with_capacity(collected.len());
+        for (id, _, _, metrics, _) in collected {
+            self.telemetry.record(*id, self.round, metrics);
+            losses.push(metrics.mean_loss);
+        }
+        record.mean_client_loss = mean_loss(&losses);
+        record.degraded = true;
+        self.seal(record)
+    }
+
+    /// Admits one arrival as a [`ClientUpdate`]. A malformed aggregation
+    /// weight surfaces as a recoverable failure; guarded runs quarantine
+    /// the sender and count a rejection instead of failing the round.
+    fn admit(
+        &mut self,
+        id: u32,
+        delta: Vec<f32>,
+        weight: f64,
+        record: &mut RoundRecord,
+    ) -> Result<Option<ClientUpdate>> {
+        match ClientUpdate::new(delta, weight) {
+            Ok(update) => Ok(Some(update)),
+            Err(e) => {
+                let Some(guard) = self.guard.as_mut() else {
+                    return Err(CoreError::ClientFailure(format!("client {id}: {e}")));
+                };
+                guard.quarantine(self.round, id);
+                record.guard_rejected += 1;
+                self.telemetry.record_guard(1, 0, 0, 0);
+                Ok(None)
+            }
+        }
+    }
+
+    /// The guard's admission screen over one merge's candidates:
+    /// quarantine skips, finiteness, norm clipping and cohort outlier
+    /// rejection. Returns the admitted subset, moved rather than copied;
+    /// without a guard every candidate passes.
+    fn screen<T: Default>(
+        &mut self,
+        pending: Admitted<T>,
+        record: &mut RoundRecord,
+    ) -> Admitted<T> {
+        let Some(guard) = self.guard.as_mut() else {
+            return pending;
+        };
+        let Admitted {
+            ids,
+            mut updates,
+            meta,
+        } = pending;
+        let report = guard.screen_round(self.round, &ids, &mut updates);
+        self.telemetry.record_guard(
+            report.rejected_nonfinite,
+            report.rejected_outliers,
+            report.clipped,
+            report.quarantine_skips,
+        );
+        record.guard_rejected += (report.rejected_nonfinite + report.rejected_outliers) as usize;
+        record.guard_clipped += report.clipped as usize;
+        record.quarantined += report.quarantine_skips as usize;
+        let mut admitted = Admitted::default();
+        let candidates = ids.into_iter().zip(updates).zip(meta);
+        for (((id, update), meta), decision) in candidates.zip(&report.decisions) {
+            if decision.admitted() {
+                admitted.push(id, update, meta);
+            }
+        }
+        admitted
+    }
+
+    /// The partial-results gate (§4): only the partial-update path may
+    /// proceed with survivors, and never with none. Guard rejections are
+    /// deliberate exclusions, not transport failures: the gate only
+    /// counts clients that never delivered a usable frame.
+    fn partial_gate(&self, cohort: usize, received: usize) -> Result<()> {
+        let missing = cohort - received;
+        if missing > 0 && (!self.cfg.allow_partial_results || received == 0) {
+            return Err(CoreError::ClientFailure(format!(
+                "expected {cohort} results, got {received} (enable allow_partial_results \
+                 to aggregate survivors)"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Applies one merged update (Algorithm 1, L.9): the single commit
+    /// step every tail ends in. The loss-spike watchdog runs BEFORE the
+    /// server optimizer touches the parameters, so a divergent round
+    /// leaves the model untouched and the recovery driver rolls back to
+    /// the last-good checkpoint. `align` carries the senders and updates
+    /// behind a per-update merge for the §6 contribution telemetry. A
+    /// neutralized round records its loss and norm but applies nothing.
+    fn apply_commit(
+        &mut self,
+        record: &mut RoundRecord,
+        delta: &[f32],
+        mean_client_loss: f32,
+        updates: usize,
+        align: Option<(&[u32], &[ClientUpdate])>,
+    ) -> Result<()> {
+        let pseudo_grad_norm = photon_tensor::ops::l2_norm(delta);
+        record.mean_client_loss = mean_client_loss;
+        record.pseudo_grad_norm = pseudo_grad_norm;
+        if record.neutralized {
+            return Ok(());
+        }
+        self.check_watchdog(mean_client_loss, pseudo_grad_norm)?;
+        // §6 client-contribution measurement: cosine alignment between
+        // each client's update and the aggregate.
+        if let Some((ids, updates)) = align.filter(|_| pseudo_grad_norm > 0.0) {
+            for (id, update) in ids.iter().zip(updates) {
+                let dot = photon_tensor::ops::dot(&update.delta, delta);
+                let norm = update.norm();
+                if norm > 0.0 {
+                    self.telemetry
+                        .record_alignment(*id, dot / (norm * pseudo_grad_norm));
+                }
+            }
+        }
+        {
+            let _opt_span = photon_trace::span(photon_trace::Phase::ServerOpt)
+                .arg("round", self.round)
+                .arg("updates", updates as u64);
+            self.server_opt.apply(&mut self.params, delta, self.round);
+        }
+        // The round's update stood: it is *committed*, not just seen.
+        self.telemetry.record_committed_round(self.round);
+        let blend = |ema: Option<f64>, v: f64| match ema {
+            Some(e) => WATCHDOG_EMA_BETA * e + (1.0 - WATCHDOG_EMA_BETA) * v,
+            None => v,
+        };
+        self.loss_ema = Some(blend(self.loss_ema, mean_client_loss as f64));
+        self.norm_ema = Some(blend(self.norm_ema, pseudo_grad_norm as f64));
+        Ok(())
     }
 
     /// The divergence checks run before every (non-neutralized) update
@@ -1817,8 +1500,10 @@ impl Aggregator {
     }
 }
 
-/// Per-round fault, churn and network counters threaded into the
-/// buffered tail.
+/// Per-round fault, churn and network counters from the collect stage.
+/// Every round tail consumes them: they feed the network-telemetry and
+/// fault stages, and each round's record starts from them.
+#[derive(Default)]
 struct RoundAccounting {
     crashes: usize,
     stragglers: usize,
@@ -1841,6 +1526,36 @@ struct RoundAccounting {
     /// Live shards scheduled to hang this round (the slice is lost, the
     /// shard recovers next round).
     shard_hangs: Vec<u32>,
+}
+
+/// One client result as the collect stage hands it to a round tail:
+/// `(client_id, delta, weight, metrics, arrival_round)`.
+type Arrival = (u32, Vec<f32>, f64, photon_comms::TrainMetrics, u64);
+
+/// One merge's admitted updates, index-aligned with their senders and the
+/// per-update metadata a tail carries on to telemetry.
+#[derive(Default)]
+struct Admitted<T> {
+    ids: Vec<u32>,
+    updates: Vec<ClientUpdate>,
+    meta: Vec<T>,
+}
+
+impl<T> Admitted<T> {
+    fn push(&mut self, id: u32, update: ClientUpdate, meta: T) {
+        self.ids.push(id);
+        self.updates.push(update);
+        self.meta.push(meta);
+    }
+}
+
+/// Mean of the reported client losses; 0 when there are none.
+fn mean_loss(losses: &[f32]) -> f32 {
+    if losses.is_empty() {
+        0.0
+    } else {
+        losses.iter().sum::<f32>() / losses.len() as f32
+    }
 }
 
 /// What one client thread reports back to the aggregator's collect loop.

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Summary of one federated round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundRecord {
     /// Round index.
     pub round: u64,
