@@ -45,9 +45,7 @@ mod wire;
 pub use collective::{ring_allreduce_group, RingWorker};
 pub use compress::{compress_f32s, decompress_f32s};
 pub use crc::crc32;
-pub use link::{
-    corrupt_frame, deliver, deliver_chaos, DeliveryReport, LinkExhausted, RetransmitPolicy,
-};
+pub use link::{corrupt_frame, deliver, DeliveryReport, LinkExhausted, RetransmitPolicy};
 pub use message::{Message, TrainMetrics, WireOpts};
 pub use network::{
     AdaptiveDeadlineConfig, LinkOutcome, LinkProfile, NetworkConfig, NetworkModel, PartitionKind,

@@ -165,38 +165,21 @@ pub fn corrupt_frame(frame: &Bytes, seed: u64) -> Bytes {
     Bytes::from(raw)
 }
 
-/// Delivers `frame` across a lossy link: attempt `a` (0-based) transmits a
-/// corrupted copy whenever `a < corrupt_first`, the receiver decodes (CRC
-/// check) and requests a retransmission on failure, up to
-/// `policy.max_retries` times.
-///
-/// `seed` keys the injected bit flips so a replay corrupts the same bits.
-/// Returns the first frame that decoded cleanly plus the delivery cost.
-///
-/// # Errors
-/// Returns [`LinkExhausted`] when every allowed attempt was corrupted.
-pub fn deliver(
-    frame: &Bytes,
-    corrupt_first: u32,
-    seed: u64,
-    policy: &RetransmitPolicy,
-) -> (Result<Bytes, LinkExhausted>, DeliveryReport) {
-    deliver_chaos(frame, corrupt_first, 0, 0, seed, policy)
-}
-
 /// Delivers `frame` across a chaotic link: the first `lost_first` attempts
 /// vanish in flight (the receiver times out and requests a retransmit),
 /// the next `corrupt_first` attempts arrive corrupted and fail the CRC
 /// check, and each attempt costs `latency_ms` of simulated in-flight time.
 /// Retries follow `policy`'s capped, jittered exponential backoff, and the
 /// per-delivery timeout (when set) bounds the total simulated time spent.
+/// A plain lossy link is the case `lost_first == 0, latency_ms == 0`.
 ///
-/// `deliver` is the special case `lost_first == 0, latency_ms == 0`.
+/// `seed` keys the injected bit flips so a replay corrupts the same bits.
+/// Returns the first frame that decoded cleanly plus the delivery cost.
 ///
 /// # Errors
 /// Returns [`LinkExhausted`] when every allowed attempt failed or the
 /// timeout fired first.
-pub fn deliver_chaos(
+pub fn deliver(
     frame: &Bytes,
     corrupt_first: u32,
     lost_first: u32,
@@ -312,7 +295,7 @@ mod tests {
     #[test]
     fn clean_delivery_is_one_attempt() {
         let f = frame();
-        let (out, report) = deliver(&f, 0, 7, &RetransmitPolicy::default());
+        let (out, report) = deliver(&f, 0, 0, 0, 7, &RetransmitPolicy::default());
         assert_eq!(out.unwrap(), f);
         assert_eq!(report.attempts, 1);
         assert_eq!(report.wire_bytes, f.len() as u64);
@@ -323,7 +306,7 @@ mod tests {
     fn corruption_within_budget_recovers() {
         let f = frame();
         let policy = RetransmitPolicy::default(); // 3 retries
-        let (out, report) = deliver(&f, 2, 7, &policy);
+        let (out, report) = deliver(&f, 2, 0, 0, 7, &policy);
         assert_eq!(out.unwrap(), f);
         assert_eq!(report.attempts, 3);
         assert_eq!(report.wire_bytes, 3 * f.len() as u64);
@@ -339,7 +322,7 @@ mod tests {
             backoff_base_ms: 5,
             ..RetransmitPolicy::default()
         };
-        let (out, report) = deliver(&f, 99, 7, &policy);
+        let (out, report) = deliver(&f, 99, 0, 0, 7, &policy);
         let err = out.unwrap_err();
         assert_eq!(err.attempts, 3);
         assert!(matches!(err.last_error, WireError::BadChecksum { .. }));
@@ -353,8 +336,8 @@ mod tests {
     fn delivery_is_deterministic() {
         let f = frame();
         let policy = RetransmitPolicy::default();
-        let a = deliver(&f, 2, 99, &policy);
-        let b = deliver(&f, 2, 99, &policy);
+        let a = deliver(&f, 2, 0, 0, 99, &policy);
+        let b = deliver(&f, 2, 0, 0, 99, &policy);
         assert_eq!(a.0.is_ok(), b.0.is_ok());
         assert_eq!(a.1, b.1);
     }
@@ -446,7 +429,7 @@ mod tests {
     fn lost_attempts_consume_budget_then_recover() {
         let f = frame();
         let policy = RetransmitPolicy::default();
-        let (out, report) = deliver_chaos(&f, 0, 2, 30, 7, &policy);
+        let (out, report) = deliver(&f, 0, 2, 30, 7, &policy);
         assert_eq!(out.unwrap(), f);
         assert_eq!(report.attempts, 3);
         assert_eq!(report.latency_ms, 90, "every attempt pays link latency");
@@ -460,7 +443,7 @@ mod tests {
             max_retries: 4,
             ..RetransmitPolicy::default()
         };
-        let (out, report) = deliver_chaos(&f, 1, 1, 0, 7, &policy);
+        let (out, report) = deliver(&f, 1, 1, 0, 7, &policy);
         assert_eq!(out.unwrap(), f);
         assert_eq!(report.attempts, 3, "1 lost + 1 corrupt + 1 clean");
     }
@@ -475,7 +458,7 @@ mod tests {
             max_backoff_ms: 0,
             timeout_ms: 100,
         };
-        let (out, report) = deliver_chaos(&f, 99, 0, 0, 7, &policy);
+        let (out, report) = deliver(&f, 99, 0, 0, 7, &policy);
         let err = out.unwrap_err();
         assert!(err.timed_out);
         assert!(err.to_string().contains("timed out"));
@@ -492,8 +475,8 @@ mod tests {
             timeout_ms: 500,
             ..RetransmitPolicy::default()
         };
-        let a = deliver_chaos(&f, 1, 1, 25, 99, &policy);
-        let b = deliver_chaos(&f, 1, 1, 25, 99, &policy);
+        let a = deliver(&f, 1, 1, 25, 99, &policy);
+        let b = deliver(&f, 1, 1, 25, 99, &policy);
         assert_eq!(a.0.is_ok(), b.0.is_ok());
         assert_eq!(a.1, b.1);
     }
