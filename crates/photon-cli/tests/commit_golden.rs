@@ -4,8 +4,9 @@
 //! byte-compares its `--metrics-json` and `--trace-jsonl` (sim clock)
 //! against the files under `tests/golden/`. Together the cases reach every
 //! exit of the flat, shard-tree and buffered (batch and streaming) round
-//! tails: committed, degraded, deferred, all-slices-lost, watchdog
-//! rollback, and the partial-results and guard error exits.
+//! tails: committed, degraded, deferred, all-slices-lost, re-parented
+//! after a shard crash, watchdog rollback, and the partial-results and
+//! guard error exits.
 //!
 //! Thread count and backend are pinned because results still depend on
 //! them. Running the binary as a subprocess also keeps the trace recorder's
@@ -167,6 +168,37 @@ fn shard_tree_degraded_and_crashed() {
 }
 
 #[test]
+fn shard_tree_reparents_after_crash() {
+    check(
+        "shard_tree_reparent",
+        &[
+            "--shards",
+            "2",
+            "--partial-ok",
+            "--faults",
+            "shardcrash@r1s1",
+        ],
+        None,
+    );
+}
+
+#[test]
+fn shard_tree_guard_rejects_one_shard() {
+    // Clients 2 and 5 make up shard 2, so its aggregate is flipped.
+    check(
+        "shard_tree_guard_outlier",
+        &[
+            "--shards",
+            "3",
+            "--guard",
+            "--faults",
+            "sign-flip@r2c2,sign-flip@r2c5",
+        ],
+        None,
+    );
+}
+
+#[test]
 fn shard_tree_all_slices_lost() {
     check(
         "shard_tree_lost",
@@ -297,6 +329,25 @@ fn buffered_streaming_defers() {
             "--partial-ok",
             "--faults",
             "straggle=0.3,straggle-ms=900,seed=5",
+        ],
+        None,
+    );
+}
+
+#[test]
+fn buffered_streaming_reparents_after_crash() {
+    check(
+        "buffered_streaming_shardcrash",
+        &[
+            "--buffer-quorum",
+            "3",
+            "--shards",
+            "2",
+            "--deadline-ms",
+            "200",
+            "--partial-ok",
+            "--faults",
+            "shardcrash@r1s1,straggle=0.3,straggle-ms=900,seed=5",
         ],
         None,
     );

@@ -110,3 +110,25 @@ fn external_commit_matches_recorded_rounds() {
     );
     assert_eq!(params_hash(agg.params()), 0x0eb5_9325_e22f_406c);
 }
+
+/// A round that fails the partial-results gate commits nothing, leaves
+/// the round counter alone and, on the flat path, counts no faults.
+#[test]
+fn failed_external_commit_counts_no_faults() {
+    let mut cfg = config();
+    cfg.allow_partial_results = false;
+    let mut agg = Aggregator::new(cfg).unwrap();
+    let n = agg.params().len();
+    let before = params_hash(agg.params());
+    let results: Results = [0, 1, 2].iter().map(|&id| result(id, n, 0, 1.0)).collect();
+    let err = agg
+        .commit_external_round(results, &[0, 1, 2, 3], 1_024)
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("expected 4 results, got 3"),
+        "{err}"
+    );
+    assert_eq!(agg.round(), 0);
+    assert_eq!(params_hash(agg.params()), before);
+    assert_eq!(agg.telemetry().fault_counters().link_dropouts, 0);
+}
