@@ -781,11 +781,7 @@ impl Aggregator {
             ));
         }
         self.record_faults(&acct);
-        let mut losses = Vec::with_capacity(admitted.ids.len());
-        for (id, metrics) in admitted.ids.iter().zip(&admitted.meta) {
-            self.telemetry.record(*id, self.round, metrics);
-            losses.push(metrics.mean_loss);
-        }
+        let losses = self.record_clients(admitted.ids.iter().zip(&admitted.meta));
         let avg_delta = self.cfg.aggregation.aggregate(&admitted.updates);
         self.apply_commit(
             &mut record,
@@ -831,25 +827,15 @@ impl Aggregator {
         // was responsible for, so silent losses count against it.
         let cohort_ids: Vec<u32> = record.cohort.iter().map(|&i| i as u32).collect();
         let part = tree.partition(&cohort_ids);
-        self.telemetry.record_reparented(part.reparented as u64);
         record.shards = part.shards.len();
         record.reparented = part.reparented;
-        // This round's routing is already fixed; a crash takes effect on
-        // the *next* partition, which every exit path below must see.
-        if let Some(live_tree) = self.hierarchy.as_mut() {
-            for &s in &acct.shard_crashes {
-                live_tree.mark_crashed(s);
-            }
-        }
+        // Every exit path below must see the crashes take effect.
+        self.reroute_shards(acct, part.reparented);
 
         // The root-level degraded gate (network reachability quorum) is
         // unchanged by the tree: a partitioned round commits nothing.
         if self.degraded_gate(record.cohort.len(), received) {
-            self.telemetry.record_shard_faults(
-                acct.shard_crashes.len() as u64,
-                acct.shard_hangs.len() as u64,
-                0,
-            );
+            self.record_shard_faults(acct, 0);
             return Ok(self.degraded_exit(record, &collected));
         }
 
@@ -874,16 +860,8 @@ impl Aggregator {
             if acct.shard_crashes.contains(&shard) || acct.shard_hangs.contains(&shard) {
                 // The sub-aggregator died or stalled mid-round: its whole
                 // slice is lost; siblings are unaffected.
-                photon_trace::instant(
-                    photon_trace::Phase::ShardDegraded,
-                    "shard_degraded",
-                    &[
-                        ("shard", shard as u64),
-                        ("round", self.round),
-                        ("crash", u64::from(acct.shard_crashes.contains(&shard))),
-                        ("slice", slice.len() as u64),
-                    ],
-                );
+                let crashed = acct.shard_crashes.contains(&shard);
+                self.trace_shard_degraded(shard, crashed, slice.len());
                 continue;
             }
             let arrivals = routed.remove(&shard).unwrap_or_default();
@@ -899,11 +877,7 @@ impl Aggregator {
                 shards.push(SHARD_GUARD_BASE + shard, update, ());
             }
         }
-        self.telemetry.record_shard_faults(
-            acct.shard_crashes.len() as u64,
-            acct.shard_hangs.len() as u64,
-            record.shard_degraded as u64,
-        );
+        self.record_shard_faults(acct, record.shard_degraded);
 
         let mean_client_loss = mean_loss(&losses);
         if shards.updates.is_empty() {
@@ -1007,24 +981,26 @@ impl Aggregator {
             None
         };
         if commit.is_some() {
-            for (id, metrics) in ids.iter().zip(&meta) {
-                self.telemetry.record(*id, self.round, metrics);
-                losses.push(metrics.mean_loss);
-            }
+            losses.extend(self.record_clients(ids.iter().zip(&meta)));
         } else {
             record.shard_degraded += 1;
-            photon_trace::instant(
-                photon_trace::Phase::ShardDegraded,
-                "shard_degraded",
-                &[
-                    ("shard", shard as u64),
-                    ("round", self.round),
-                    ("crash", 0),
-                    ("slice", slice as u64),
-                ],
-            );
+            self.trace_shard_degraded(shard, false, slice);
         }
         Ok(commit)
+    }
+
+    /// Marks a shard whose slice was lost this round in the trace.
+    fn trace_shard_degraded(&self, shard: u32, crashed: bool, slice: usize) {
+        photon_trace::instant(
+            photon_trace::Phase::ShardDegraded,
+            "shard_degraded",
+            &[
+                ("shard", shard as u64),
+                ("round", self.round),
+                ("crash", u64::from(crashed)),
+                ("slice", slice as u64),
+            ],
+        );
     }
 
     /// Commits one federated round from results gathered by an external
@@ -1151,18 +1127,8 @@ impl Aggregator {
         self.record_network(&acct);
         self.record_faults(&acct);
         if let Some(tree) = &tree {
-            self.telemetry.record_shard_faults(
-                acct.shard_crashes.len() as u64,
-                acct.shard_hangs.len() as u64,
-                0,
-            );
-            self.telemetry.record_reparented(record.reparented as u64);
-            // A crash takes effect from the next round's routing on.
-            if let Some(live_tree) = self.hierarchy.as_mut() {
-                for &s in &acct.shard_crashes {
-                    live_tree.mark_crashed(s);
-                }
-            }
+            self.record_shard_faults(&acct, 0);
+            self.reroute_shards(&acct, record.reparented);
             record.shards = tree.live_count();
         }
 
@@ -1292,6 +1258,41 @@ impl Aggregator {
         );
     }
 
+    /// Books each sender's round metrics; returns their losses in order.
+    fn record_clients<'a>(
+        &self,
+        clients: impl Iterator<Item = (&'a u32, &'a photon_comms::TrainMetrics)>,
+    ) -> Vec<f32> {
+        clients
+            .map(|(id, metrics)| {
+                self.telemetry.record(*id, self.round, metrics);
+                metrics.mean_loss
+            })
+            .collect()
+    }
+
+    /// Folds one round's shard crashes and hangs, plus `degraded` shard
+    /// slices that missed their quorum, into telemetry.
+    fn record_shard_faults(&self, acct: &RoundAccounting, degraded: usize) {
+        self.telemetry.record_shard_faults(
+            acct.shard_crashes.len() as u64,
+            acct.shard_hangs.len() as u64,
+            degraded as u64,
+        );
+    }
+
+    /// Counts this round's re-parented clients and kills the shards that
+    /// crashed in it. The round's own routing is already fixed, so a crash
+    /// takes effect from the next round's partition on.
+    fn reroute_shards(&mut self, acct: &RoundAccounting, reparented: usize) {
+        self.telemetry.record_reparented(reparented as u64);
+        if let Some(tree) = self.hierarchy.as_mut() {
+            for &s in &acct.shard_crashes {
+                tree.mark_crashed(s);
+            }
+        }
+    }
+
     /// Graceful degradation: when an active partition (or mass loss)
     /// leaves the round below the reachability quorum, committing the
     /// minority slice would skew the model toward whoever stayed
@@ -1327,11 +1328,7 @@ impl Aggregator {
     /// The exit of a degraded round: it records its arrivals' telemetry
     /// and mean loss but commits nothing.
     fn degraded_exit(&mut self, mut record: RoundRecord, collected: &[Arrival]) -> RoundRecord {
-        let mut losses = Vec::with_capacity(collected.len());
-        for (id, _, _, metrics, _) in collected {
-            self.telemetry.record(*id, self.round, metrics);
-            losses.push(metrics.mean_loss);
-        }
+        let losses = self.record_clients(collected.iter().map(|(id, _, _, m, _)| (id, m)));
         record.mean_client_loss = mean_loss(&losses);
         record.degraded = true;
         self.seal(record)
