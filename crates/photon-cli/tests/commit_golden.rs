@@ -13,7 +13,7 @@
 //! process-global state out of the harness's parallel tests.
 //!
 //! To regenerate a golden after a deliberate behaviour change, run the
-//! printed `photon train` command line with
+//! case's `photon train` command line (printed on failure) with
 //! `--metrics-json tests/golden/<name>.metrics.json --trace-jsonl
 //! tests/golden/<name>.trace.jsonl`.
 
@@ -21,23 +21,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Shared by every case: a tiny model, 6 clients, 4 rounds.
-const BASE: &[&str] = &[
-    "train",
-    "--model",
-    "tiny",
-    "--clients",
-    "6",
-    "--rounds",
-    "4",
-    "--local-steps",
-    "2",
-    "--tokens-per-client",
-    "3000",
-    "--threads",
-    "1",
-    "--backend",
-    "scalar",
-];
+const BASE: &str = "train --model tiny --clients 6 --rounds 4 --local-steps 2 \
+                    --tokens-per-client 3000 --threads 1 --backend scalar";
 
 /// Every client of round 1 reports a NaN update, so the guard has nothing
 /// left to admit.
@@ -48,10 +33,10 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Runs one case and compares both sinks with their goldens. `error` is
-/// `None` for a run that must succeed, or the message a failing run must
-/// print.
-fn check(name: &str, extra: &[&str], error: Option<&str>) {
+/// Runs `photon` with `BASE` plus `extra` (whitespace-separated) and
+/// compares both sinks with their goldens. `error` is `None` for a run
+/// that must succeed, or the message a failing run must print.
+fn check(name: &str, extra: &str, error: Option<&str>) {
     let out = std::env::temp_dir().join(format!(
         "photon-commit-golden-{}-{name}",
         std::process::id()
@@ -60,12 +45,13 @@ fn check(name: &str, extra: &[&str], error: Option<&str>) {
     std::fs::create_dir_all(&out).unwrap();
     let metrics = out.join("metrics.json");
     let trace = out.join("trace.jsonl");
-    let mut args: Vec<&str> = BASE.iter().chain(extra).copied().collect();
-    let cmdline = format!("photon {}", args.join(" "));
-    let (metrics_arg, trace_arg) = (metrics.display().to_string(), trace.display().to_string());
-    args.extend(["--metrics-json", &metrics_arg, "--trace-jsonl", &trace_arg]);
+    let cmdline = format!("photon {BASE} {extra}");
     let run = Command::new(env!("CARGO_BIN_EXE_photon"))
-        .args(&args)
+        .args(BASE.split_whitespace().chain(extra.split_whitespace()))
+        .arg("--metrics-json")
+        .arg(&metrics)
+        .arg("--trace-jsonl")
+        .arg(&trace)
         .output()
         .expect("spawn photon");
     let stderr = String::from_utf8_lossy(&run.stderr);
@@ -103,14 +89,8 @@ fn check(name: &str, extra: &[&str], error: Option<&str>) {
 fn flat_guard_degraded_and_recovered() {
     check(
         "flat_guard",
-        &[
-            "--guard",
-            "--net-latency-ms",
-            "20",
-            "--partial-ok",
-            "--faults",
-            "partition@r1-r2:*|1.2.3.4.5,sign-flip@r3c3,crash=0.1,seed=3",
-        ],
+        "--guard --net-latency-ms 20 --partial-ok \
+         --faults partition@r1-r2:*|1.2.3.4.5,sign-flip@r3c3,crash=0.1,seed=3",
         None,
     );
 }
@@ -119,7 +99,7 @@ fn flat_guard_degraded_and_recovered() {
 fn flat_watchdog_rollback_neutralizes() {
     check(
         "flat_watchdog",
-        &["--loss-spike-mult", "3", "--faults", "scale:50@r2c1"],
+        "--loss-spike-mult 3 --faults scale:50@r2c1",
         None,
     );
 }
@@ -128,7 +108,7 @@ fn flat_watchdog_rollback_neutralizes() {
 fn flat_partial_results_error() {
     check(
         "flat_partial_error",
-        &["--recovery-budget", "1", "--faults", "crash@r1c2"],
+        "--recovery-budget 1 --faults crash@r1c2",
         Some("expected 6 results, got 5"),
     );
 }
@@ -137,14 +117,7 @@ fn flat_partial_results_error() {
 fn flat_guard_rejects_cohort() {
     check(
         "flat_guard_error",
-        &[
-            "--guard",
-            "--partial-ok",
-            "--recovery-budget",
-            "0",
-            "--faults",
-            ALL_NAN_R1,
-        ],
+        &format!("--guard --partial-ok --recovery-budget 0 --faults {ALL_NAN_R1}"),
         Some("the guard rejected the entire cohort"),
     );
 }
@@ -153,16 +126,8 @@ fn flat_guard_rejects_cohort() {
 fn shard_tree_degraded_and_crashed() {
     check(
         "shard_tree",
-        &[
-            "--guard",
-            "--net-latency-ms",
-            "20",
-            "--partial-ok",
-            "--shards",
-            "2",
-            "--faults",
-            "partition@r1-r2:*|1.2.3.4.5,shardcrash@r3s1",
-        ],
+        "--guard --net-latency-ms 20 --partial-ok --shards 2 \
+         --faults partition@r1-r2:*|1.2.3.4.5,shardcrash@r3s1",
         None,
     );
 }
@@ -171,13 +136,7 @@ fn shard_tree_degraded_and_crashed() {
 fn shard_tree_reparents_after_crash() {
     check(
         "shard_tree_reparent",
-        &[
-            "--shards",
-            "2",
-            "--partial-ok",
-            "--faults",
-            "shardcrash@r1s1",
-        ],
+        "--shards 2 --partial-ok --faults shardcrash@r1s1",
         None,
     );
 }
@@ -187,13 +146,7 @@ fn shard_tree_guard_rejects_one_shard() {
     // Clients 2 and 5 make up shard 2, so its aggregate is flipped.
     check(
         "shard_tree_guard_outlier",
-        &[
-            "--shards",
-            "3",
-            "--guard",
-            "--faults",
-            "sign-flip@r2c2,sign-flip@r2c5",
-        ],
+        "--shards 3 --guard --faults sign-flip@r2c2,sign-flip@r2c5",
         None,
     );
 }
@@ -202,7 +155,7 @@ fn shard_tree_guard_rejects_one_shard() {
 fn shard_tree_all_slices_lost() {
     check(
         "shard_tree_lost",
-        &["--shards", "2", "--faults", "shardhang@r1s0,shardhang@r1s1"],
+        "--shards 2 --faults shardhang@r1s0,shardhang@r1s1",
         None,
     );
 }
@@ -211,14 +164,7 @@ fn shard_tree_all_slices_lost() {
 fn shard_tree_partial_results_error() {
     check(
         "shard_tree_partial_error",
-        &[
-            "--shards",
-            "2",
-            "--recovery-budget",
-            "0",
-            "--faults",
-            "crash@r1c2",
-        ],
+        "--shards 2 --recovery-budget 0 --faults crash@r1c2",
         Some("expected 6 results, got 5"),
     );
 }
@@ -227,16 +173,7 @@ fn shard_tree_partial_results_error() {
 fn shard_tree_guard_rejects_every_shard() {
     check(
         "shard_tree_guard_error",
-        &[
-            "--shards",
-            "2",
-            "--guard",
-            "--partial-ok",
-            "--recovery-budget",
-            "0",
-            "--faults",
-            ALL_NAN_R1,
-        ],
+        &format!("--shards 2 --guard --partial-ok --recovery-budget 0 --faults {ALL_NAN_R1}"),
         Some("the guard rejected every shard aggregate"),
     );
 }
@@ -245,18 +182,8 @@ fn shard_tree_guard_rejects_every_shard() {
 fn buffered_batch_commits() {
     check(
         "buffered_batch",
-        &[
-            "--buffer-quorum",
-            "3",
-            "--guard",
-            "--aggregation",
-            "trimmed-mean",
-            "--deadline-ms",
-            "200",
-            "--partial-ok",
-            "--faults",
-            "straggle=0.3,straggle-ms=900,sign-flip@r1c2,seed=5",
-        ],
+        "--buffer-quorum 3 --guard --aggregation trimmed-mean --deadline-ms 200 --partial-ok \
+         --faults straggle=0.3,straggle-ms=900,sign-flip@r1c2,seed=5",
         None,
     );
 }
@@ -265,16 +192,8 @@ fn buffered_batch_commits() {
 fn buffered_batch_defers() {
     check(
         "buffered_batch_deferred",
-        &[
-            "--buffer-quorum",
-            "6",
-            "--guard",
-            "--deadline-ms",
-            "200",
-            "--partial-ok",
-            "--faults",
-            "straggle=0.3,straggle-ms=900,seed=5",
-        ],
+        "--buffer-quorum 6 --guard --deadline-ms 200 --partial-ok \
+         --faults straggle=0.3,straggle-ms=900,seed=5",
         None,
     );
 }
@@ -283,15 +202,7 @@ fn buffered_batch_defers() {
 fn buffered_batch_guard_rejects_commit() {
     check(
         "buffered_batch_guard_error",
-        &[
-            "--buffer-quorum",
-            "3",
-            "--guard",
-            "--recovery-budget",
-            "0",
-            "--faults",
-            ALL_NAN_R1,
-        ],
+        &format!("--buffer-quorum 3 --guard --recovery-budget 0 --faults {ALL_NAN_R1}"),
         Some("the guard rejected the entire buffered commit"),
     );
 }
@@ -300,17 +211,8 @@ fn buffered_batch_guard_rejects_commit() {
 fn buffered_streaming_commits() {
     check(
         "buffered_streaming",
-        &[
-            "--buffer-quorum",
-            "3",
-            "--shards",
-            "2",
-            "--deadline-ms",
-            "200",
-            "--partial-ok",
-            "--faults",
-            "straggle=0.3,straggle-ms=900,seed=5",
-        ],
+        "--buffer-quorum 3 --shards 2 --deadline-ms 200 --partial-ok \
+         --faults straggle=0.3,straggle-ms=900,seed=5",
         None,
     );
 }
@@ -319,17 +221,8 @@ fn buffered_streaming_commits() {
 fn buffered_streaming_defers() {
     check(
         "buffered_streaming_deferred",
-        &[
-            "--buffer-quorum",
-            "6",
-            "--shards",
-            "2",
-            "--deadline-ms",
-            "200",
-            "--partial-ok",
-            "--faults",
-            "straggle=0.3,straggle-ms=900,seed=5",
-        ],
+        "--buffer-quorum 6 --shards 2 --deadline-ms 200 --partial-ok \
+         --faults straggle=0.3,straggle-ms=900,seed=5",
         None,
     );
 }
@@ -338,17 +231,8 @@ fn buffered_streaming_defers() {
 fn buffered_streaming_reparents_after_crash() {
     check(
         "buffered_streaming_shardcrash",
-        &[
-            "--buffer-quorum",
-            "3",
-            "--shards",
-            "2",
-            "--deadline-ms",
-            "200",
-            "--partial-ok",
-            "--faults",
-            "shardcrash@r1s1,straggle=0.3,straggle-ms=900,seed=5",
-        ],
+        "--buffer-quorum 3 --shards 2 --deadline-ms 200 --partial-ok \
+         --faults shardcrash@r1s1,straggle=0.3,straggle-ms=900,seed=5",
         None,
     );
 }
